@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticcheck check fuzz bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack trace-smoke recovery-smoke daemon-smoke churn-smoke ci clean
+.PHONY: all build test flake race vet staticcheck check fuzz bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack trace-smoke recovery-smoke daemon-smoke churn-smoke ci clean
 
 all: build
 
@@ -9,6 +9,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# flake reruns the whole suite FLAKE_COUNT times in shuffled order, so
+# an intermittent failure shows up as a count instead of an anecdote.
+FLAKE_COUNT ?= 5
+flake:
+	$(GO) test -count=$(FLAKE_COUNT) -shuffle=on ./...
 
 vet:
 	$(GO) vet ./...

@@ -53,9 +53,8 @@ type Config struct {
 	SubchunkBytes int64
 	// Pipeline is the number of sub-chunks each I/O node keeps in
 	// flight during writes; 0 or 1 is the paper's blocking behaviour.
-	// 2 or more also engages the staged engine: a storage stage writes
-	// completed sub-chunks behind the network stage, overlapping disk
-	// and communication.
+	// At 2 or more, Pipeline-1 completed sub-chunks are written behind
+	// the network stage, overlapping disk and communication.
 	Pipeline int
 	// ReadAhead is the number of sub-chunks each I/O node prefetches
 	// beyond the one it is scattering during reads; 0 is the paper's

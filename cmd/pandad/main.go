@@ -17,6 +17,9 @@
 //	 "weights": {"viz": 1, "sim": 4}, "pipeline": 2, "read_ahead": 1,
 //	 "slo_ms": {"viz": 50}, "slo_default_ms": 500, "slo_stuck_mult": 4}
 //
+// An unset pipeline runs a write window of 2 (one write behind the
+// network); pipeline 1 and read_ahead 0 are strictly serial.
+//
 // -http serves the telemetry plane (/metrics, /healthz, /readyz,
 // /sessions, /slo, /dump, /status, /debug/pprof); cmd/pandastat is the
 // matching CLI.

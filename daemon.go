@@ -48,7 +48,9 @@ type Tuning struct {
 	Quantum int64 `json:"quantum"`
 	// Weights maps tenant name to scheduling weight.
 	Weights map[string]int `json:"weights"`
-	// Pipeline is the write pipeline depth (0 or 1 = blocking).
+	// Pipeline is the write window: writes outstanding at the storage
+	// stage, and pulls in flight on the network (0 = 2, one write behind
+	// the network; 1 = blocking, the paper's serial writes).
 	Pipeline int `json:"pipeline"`
 	// ReadAhead is the read prefetch depth (0 = serial).
 	ReadAhead int `json:"read_ahead"`
@@ -66,6 +68,19 @@ type Tuning struct {
 	// SLOStuckMult is the in-flight multiple of the objective past
 	// which the watchdog flags an operation stuck (0 = 4).
 	SLOStuckMult int `json:"slo_stuck_mult"`
+}
+
+// defaultPipeline is the write window a daemon runs when Tuning leaves
+// Pipeline unset, at startup and on reload alike.
+const defaultPipeline = 2
+
+// withDefaults fills the knobs that mean the same at startup and on
+// reload.
+func (t Tuning) withDefaults() Tuning {
+	if t.Pipeline == 0 {
+		t.Pipeline = defaultPipeline
+	}
+	return t
 }
 
 func (t Tuning) reconfig() core.Reconfig {
@@ -196,6 +211,7 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if cfg.Tuning.MaxInflight == 0 {
 		cfg.Tuning.MaxInflight = 4
 	}
+	cfg.Tuning = cfg.Tuning.withDefaults()
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -409,6 +425,7 @@ func (d *Daemon) Service() *core.Service { return d.svc }
 // service with zero interruption: in-flight operations finish under
 // the old tuning, subsequent dispatches use the new one.
 func (d *Daemon) Reload(t Tuning) {
+	t = t.withDefaults()
 	d.svc.Reconfigure(t.reconfig())
 	d.tel.setSLO(t.sloPolicy())
 	cfg := d.svc.Config()
@@ -552,6 +569,29 @@ func errFromCode(code, msg string) error {
 	return fmt.Errorf("%s: %w", msg, sentinel)
 }
 
+// awaitMesh waits, for up to five seconds, until the hub's registration
+// of every rank equals want, and reports whether it did. Registration
+// settles within a connection round trip, so the poll is fine-grained.
+func (d *Daemon) awaitMesh(ranks []int, want bool) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		settled := true
+		for _, r := range ranks {
+			if d.hub.Registered(r) != want {
+				settled = false
+				break
+			}
+		}
+		if settled {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func fail(err error) ctlReply {
 	return ctlReply{OK: false, Error: err.Error(), Code: codeFor(err)}
 }
@@ -565,11 +605,22 @@ func (d *Daemon) handleSession(conn net.Conn) {
 	dec := json.NewDecoder(conn)
 	enc := json.NewEncoder(conn)
 	sid := 0
+	var ranks []int
+	detach := func() {
+		// A freed slot must not be re-issued while the hub still routes
+		// its rank to the departing member's connection: frames for the
+		// next session would land in a closed socket.
+		if !d.awaitMesh(ranks, false) {
+			d.logf("session %d: member connections still open at detach", sid)
+		}
+		d.svc.Detach(sid)
+		d.tel.detach(sid)
+		d.logf("session %d detached", sid)
+		sid, ranks = 0, nil
+	}
 	defer func() {
 		if sid != 0 {
-			d.svc.Detach(sid)
-			d.tel.detach(sid)
-			d.logf("session %d detached", sid)
+			detach()
 		}
 		conn.Close()
 		d.ctlMu.Lock()
@@ -593,7 +644,7 @@ func (d *Daemon) handleSession(conn net.Conn) {
 				rep = fail(err)
 				break
 			}
-			sid = info.ID
+			sid, ranks = info.ID, info.Ranks
 			d.tel.attach(info, req.Nodes)
 			cfg := d.svc.Config()
 			rep = ctlReply{
@@ -659,12 +710,20 @@ func (d *Daemon) handleSession(conn net.Conn) {
 			d.logf("server joiner %q reserved slot %d", req.Addr, slot)
 		case "detach":
 			if sid != 0 {
-				d.svc.Detach(sid)
-				d.tel.detach(sid)
-				d.logf("session %d detached", sid)
-				sid = 0
+				detach()
 			}
 			rep = ctlReply{OK: true}
+		case "mesh":
+			// The members dialed the hub; registration is asynchronous
+			// behind each dial, so confirm every rank is routable before
+			// the session starts an operation its members must all hear.
+			if sid == 0 {
+				rep = fail(errors.New("panda: mesh before attach"))
+			} else if !d.awaitMesh(ranks, true) {
+				rep = fail(fmt.Errorf("panda: session %d: nodes never joined the mesh", sid))
+			} else {
+				rep = ctlReply{OK: true}
+			}
 		default:
 			rep = fail(fmt.Errorf("panda: unknown session command %q", req.Cmd))
 		}

@@ -238,7 +238,7 @@ func (s *Server) runCommitWrite(req opRequest, deadline time.Duration) (opErr, f
 		prepared, err := s.stageEpochs(req, deadline)
 		var re *replanError
 		if errors.As(err, &re) {
-			s.plans = nil // the alive set changed; cached plans are stale
+			s.plans.clear() // the alive set changed; cached plans are stale
 			req = re.req
 			continue
 		}
@@ -258,7 +258,7 @@ func (s *Server) runCommitWrite(req opRequest, deadline time.Duration) (opErr, f
 				return opErr, fatal
 			}
 			if replan != nil {
-				s.plans = nil
+				s.plans.clear()
 				req = *replan
 				continue
 			}
@@ -270,7 +270,7 @@ func (s *Server) runCommitWrite(req opRequest, deadline time.Duration) (opErr, f
 			return opErr, fatal
 		}
 		if replan != nil {
-			s.plans = nil
+			s.plans.clear()
 			req = *replan
 			continue
 		}

@@ -50,22 +50,22 @@ type Config struct {
 	// SubchunkBytes bounds the size of the units servers move and
 	// write; 0 means DefaultSubchunkBytes.
 	SubchunkBytes int64
-	// Pipeline is the number of sub-chunks a server keeps in flight
-	// during writes; 1 (or 0, meaning 1) reproduces the paper's
-	// blocking behaviour, larger values implement the non-blocking
-	// overlap the paper proposes as future work. At 2 or more the
-	// server also engages its staged engine: completed sub-chunks are
-	// handed to a storage stage that writes behind the network stage,
-	// overlapping disk and communication. The write-behind queue depth
-	// equals Pipeline, so a write holds at most 2*Pipeline+1 sub-chunk
-	// buffers.
+	// Pipeline is the write window: the number of sub-chunk pulls a
+	// server keeps in flight on the network, and the most writes it
+	// keeps outstanding at the node's storage stage, so Pipeline-1
+	// write behind the network. 1 (or 0, meaning 1) is submit-and-wait,
+	// the paper's blocking behaviour; larger values implement the
+	// non-blocking overlap the paper proposes as future work. The
+	// knob means the same on both dispatch paths. A write holds at most
+	// 2*Pipeline sub-chunk buffers.
 	Pipeline int
-	// ReadAhead is the number of sub-chunks the storage stage prefetches
-	// beyond the one currently being scattered during reads. 0 — the
-	// default — reproduces the paper's strictly serial read-then-scatter
-	// loop; 1 or more engages the staged engine, overlapping disk reads
-	// with piece scattering while keeping file access strictly
-	// sequential. A read holds at most ReadAhead+2 sub-chunk buffers.
+	// ReadAhead is the number of sub-chunk reads the storage stage runs
+	// ahead of the one the mover is waiting for: reads keep ReadAhead+1
+	// requests outstanding, in plan order. 0 — the default — is
+	// submit-and-wait, the paper's strictly serial read-then-scatter
+	// loop; 1 or more overlaps disk reads with piece scattering while
+	// keeping file access strictly sequential. A read holds at most
+	// ReadAhead+2 sub-chunk buffers.
 	ReadAhead int
 	// StartupOverhead is charged once per collective operation at the
 	// master server, modelling the measured ~13 ms fixed cost of a

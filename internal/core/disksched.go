@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"panda/internal/bufpool"
 	"panda/internal/clock"
@@ -12,18 +11,28 @@ import (
 	"panda/internal/storage"
 )
 
-// diskSched serializes a node's bulk disk traffic onto one storage
-// activity shared by every in-flight operation. Requests arriving close
-// together — typically from different executors — are drained as one
-// batch; adjacent writes inside a batch are merged into a single
-// WriteAt, which is the scheduler's cross-op disk optimization: two
-// interleaved collectives touching neighbouring file ranges cost one
-// seek instead of two.
+// The node storage stage.
 //
-// The activity owns its own rebound Disk and every data-path file
-// handle, so on the simulated clock all disk time is charged to one
-// proc — executor clocks never touch media. Metadata (manifests,
-// decision records, renames) stays on the executors' rebound disks.
+// Every server node runs exactly one storage activity (a goroutine under
+// the wall clock, a simulated process under vtime), started by Serve
+// before it dispatches anything, on either dispatch path. It owns its
+// own rebound Disk and every data-path file handle: movers never touch
+// media themselves, they submit requests to the stage's queue and take
+// replies from a per-stream mailbox (engine.go). Metadata — manifests,
+// decision records, renames — stays on the movers' own disks.
+//
+// Requests arriving close together, from one operation's window or from
+// concurrent executors, are drained as one batch. Adjacent writes inside
+// a batch are merged into a single WriteAt: two interleaved collectives
+// touching neighbouring file ranges cost one seek instead of two. Reads,
+// syncs and closes run in arrival order, which is plan order within a
+// stream, so file access stays as sequential as the plan.
+//
+// Every reply carries the time the stage spent in file calls on its
+// behalf, so the mover can split its waits into disk time it hid behind
+// network work (OverlapNanos) and time it stalled (StallNanos). Disk
+// spans land on the "serverN/storage" track, a separate Chrome thread
+// under the server's process.
 
 // mergeCap bounds a merged write: past this, batching gains nothing and
 // the copy cost dominates.
@@ -33,10 +42,10 @@ const (
 	dCreate = iota // name -> reply.f
 	dOpen          // name, want -> reply.f (size-checked)
 	dWrite         // f, buf, off, pooled -> reply.err
-	dRead          // f, buf, off -> reply.err (buf filled in place)
+	dRead          // f, buf, off -> reply.buf filled in place
 	dSync          // f -> reply.err
 	dClose         // f -> reply.err
-	dStop          // shut the activity down
+	dStop          // shut the activity down, then reply
 )
 
 type diskReq struct {
@@ -49,44 +58,61 @@ type diskReq struct {
 	off    int64
 	pooled bool
 	reply  mbox[diskReply]
+	// abandoned is the submitting stream's give-up flag: a queued read
+	// or write whose stream has given up is answered without touching
+	// the disk.
+	abandoned *atomic.Bool
 }
+
+// dropped reports whether the request's stream gave up on it.
+func (req *diskReq) dropped() bool { return req.abandoned != nil && req.abandoned.Load() }
 
 type diskReply struct {
-	f   storage.File
-	err error
+	f     storage.File
+	buf   []byte // dRead: the caller's buffer, handed back filled
+	err   error
+	nanos int64 // time spent in file calls serving this request
 }
 
-type diskSched struct {
+// storageStage is the handle on a node's storage activity.
+type storageStage struct {
 	box mbox[diskReq]
 }
 
-// newDiskSched starts the storage activity for one server node.
-func newDiskSched(dom clock.Domain, s *Server) *diskSched {
-	d := &diskSched{box: newMbox[diskReq](s.clk)}
-	tr := s.cfg.Trace.Track(fmt.Sprintf("server%d/disk", s.index))
-	dom.Go(fmt.Sprintf("server%d-disk", s.index), func(clk clock.Clock) {
+// startStorageStage starts the storage activity for server s.
+func startStorageStage(dom clock.Domain, s *Server) *storageStage {
+	st := &storageStage{box: newMbox[diskReq](s.clk)}
+	tr := s.storageTrack()
+	dom.Go(fmt.Sprintf("server%d-storage", s.index), func(clk clock.Clock) {
 		dd := storage.RebindClock(s.disk, clk)
 		for {
-			first, err := d.box.pop(clk, nil, 0)
+			first, err := st.box.pop(clk, nil, 0)
 			if err != nil {
 				return // closed
 			}
-			batch := append([]diskReq{first}, d.box.drain()...)
+			batch := append([]diskReq{first}, st.box.drain()...)
 			if !s.runDiskBatch(dd, clk, tr, batch) {
 				return
 			}
 		}
 	})
-	return d
+	return st
 }
 
-// stop shuts the activity down after it finishes the current batch.
-func (d *diskSched) stop() { d.box.put(diskReq{kind: dStop}) }
+// storageTrack resolves the storage stage's trace track: same Chrome
+// process as the server, its own thread.
+func (s *Server) storageTrack() obs.Track {
+	return s.cfg.Trace.Track(fmt.Sprintf("server%d/storage", s.index))
+}
 
-// rpc submits one request and waits for its reply.
-func (d *diskSched) rpc(clk clock.Clock, req diskReq) diskReply {
+// stop shuts the activity down after it has served everything queued
+// ahead, and returns once it has left its loop. clk is the caller's.
+func (st *storageStage) stop(clk clock.Clock) { st.rpc(clk, diskReq{kind: dStop}) }
+
+// rpc submits one request and waits for its reply. clk is the caller's.
+func (st *storageStage) rpc(clk clock.Clock, req diskReq) diskReply {
 	req.reply = newMbox[diskReply](clk)
-	d.box.put(req)
+	st.box.put(req)
 	rep, err := req.reply.pop(clk, nil, 0)
 	if err != nil {
 		return diskReply{err: err}
@@ -95,17 +121,17 @@ func (d *diskSched) rpc(clk clock.Clock, req diskReq) diskReply {
 }
 
 // runDiskBatch executes one drained batch in three phases: opens (they
-// gate executors starting work), writes (grouped by file, sorted by
+// gate movers starting work), writes (grouped by file, sorted by
 // offset, adjacent runs merged), then reads/syncs/closes in arrival
-// order. A sink's Sync/Close is always issued after its writes'
+// order. A stream's Sync/Close is always issued after its writes'
 // replies, so it lands in a later batch than the writes it follows.
-// Returns false when the batch contained dStop.
+// Returns false when the batch contained dStop, which is answered last.
 func (s *Server) runDiskBatch(dd storage.Disk, clk clock.Clock, tr obs.Track, batch []diskReq) bool {
-	alive := true
+	var stop *diskReq
 	var files []storage.File
 	writes := make(map[storage.File][]diskReq)
 	var rest []diskReq
-	for _, req := range batch {
+	for i, req := range batch {
 		switch req.kind {
 		case dCreate:
 			f, err := dd.Create(req.name)
@@ -114,12 +140,19 @@ func (s *Server) runDiskBatch(dd storage.Disk, clk clock.Clock, tr obs.Track, ba
 			f, err := s.openForRead(dd, req.name, req.want)
 			req.reply.put(diskReply{f: f, err: err})
 		case dWrite:
+			if req.dropped() {
+				if req.pooled {
+					bufpool.Put(req.buf)
+				}
+				req.reply.put(diskReply{err: errStreamAbandoned})
+				continue
+			}
 			if len(writes[req.f]) == 0 {
 				files = append(files, req.f)
 			}
 			writes[req.f] = append(writes[req.f], req)
 		case dStop:
-			alive = false
+			stop = &batch[i]
 		default:
 			rest = append(rest, req)
 		}
@@ -128,15 +161,16 @@ func (s *Server) runDiskBatch(dd storage.Disk, clk clock.Clock, tr obs.Track, ba
 		s.flushWrites(f, writes[f], clk, tr)
 	}
 	for _, req := range rest {
-		var t0 time.Duration
-		if tr.Enabled() {
-			t0 = clk.Now()
-		}
+		t0 := clk.Now()
 		var err error
 		switch req.kind {
 		case dRead:
+			if req.dropped() {
+				err = errStreamAbandoned
+				break
+			}
 			_, err = req.f.ReadAt(req.buf, req.off)
-			if tr.Enabled() {
+			if tr.Enabled() && err == nil {
 				tr.Span(obs.CatDisk, "ReadAt", req.seq, t0, clk.Now(), int64(len(req.buf)))
 			}
 		case dSync:
@@ -144,13 +178,22 @@ func (s *Server) runDiskBatch(dd storage.Disk, clk clock.Clock, tr obs.Track, ba
 		case dClose:
 			err = req.f.Close()
 		}
-		req.reply.put(diskReply{err: err})
+		rep := diskReply{err: err, nanos: int64(clk.Now() - t0)}
+		if req.kind == dRead {
+			rep.buf = req.buf
+		}
+		req.reply.put(rep)
 	}
-	return alive
+	if stop != nil {
+		stop.reply.put(diskReply{})
+		return false
+	}
+	return true
 }
 
 // flushWrites issues one file's writes from a batch, merging adjacent
-// runs into single WriteAt calls.
+// runs into single WriteAt calls. A merged call's time is shared among
+// its requests by bytes.
 func (s *Server) flushWrites(f storage.File, reqs []diskReq, clk clock.Clock, tr obs.Track) {
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].off < reqs[j].off })
 	for i := 0; i < len(reqs); {
@@ -165,10 +208,7 @@ func (s *Server) flushWrites(f storage.File, reqs []diskReq, clk clock.Clock, tr
 			j++
 		}
 		run := reqs[i:j]
-		var t0 time.Duration
-		if tr.Enabled() {
-			t0 = clk.Now()
-		}
+		t0 := clk.Now()
 		var err error
 		if len(run) == 1 {
 			_, err = f.WriteAt(run[0].buf, run[0].off)
@@ -184,139 +224,21 @@ func (s *Server) flushWrites(f storage.File, reqs []diskReq, clk clock.Clock, tr
 			atomic.AddInt64(&s.stats.DiskMerges, m)
 			s.met.diskMerges.Add(m)
 		}
+		t1 := clk.Now()
 		if tr.Enabled() {
-			tr.Span(obs.CatDisk, "WriteAt", run[0].seq, t0, clk.Now(), total)
+			tr.Span(obs.CatDisk, "WriteAt", run[0].seq, t0, t1, total)
 		}
 		for _, req := range run {
+			n := int64(len(req.buf))
 			if req.pooled {
 				bufpool.Put(req.buf)
 			}
-			req.reply.put(diskReply{err: err})
+			share := int64(t1-t0) * n
+			if total > 0 {
+				share /= total
+			}
+			req.reply.put(diskReply{err: err, nanos: share})
 		}
 		i = j
 	}
 }
-
-// --- executor-facing sink/source -----------------------------------------
-
-// schedWriteSink routes an executor's writes through the shared
-// diskSched with a bounded in-flight window, so concurrent ops batch at
-// the storage activity without any op running unboundedly ahead of the
-// disk.
-type schedWriteSink struct {
-	ds      *diskSched
-	clk     clock.Clock
-	f       storage.File
-	replies mbox[diskReply]
-	seq     int
-	out     int // outstanding writes
-	window  int
-	err     error // first write error; sticky
-}
-
-func (s *Server) newSchedWriteSink(name string) (writeSink, error) {
-	k := &schedWriteSink{
-		ds:      s.dsched,
-		clk:     s.clk,
-		replies: newMbox[diskReply](s.clk),
-		seq:     s.opSeq,
-		window:  s.cfg.pipeline(),
-	}
-	if k.window < 2 {
-		k.window = 2
-	}
-	rep := s.dsched.rpc(s.clk, diskReq{kind: dCreate, seq: s.opSeq, name: name})
-	if rep.err != nil {
-		return nil, rep.err
-	}
-	k.f = rep.f
-	return k, nil
-}
-
-func (k *schedWriteSink) reap() {
-	rep, perr := k.replies.pop(k.clk, nil, 0)
-	k.out--
-	if k.err == nil {
-		if perr != nil {
-			k.err = perr
-		} else {
-			k.err = rep.err
-		}
-	}
-}
-
-func (k *schedWriteSink) write(buf []byte, off int64, pooled bool) error {
-	if k.err != nil {
-		if pooled {
-			bufpool.Put(buf)
-		}
-		return k.err
-	}
-	for k.out >= k.window {
-		k.reap()
-	}
-	k.ds.box.put(diskReq{kind: dWrite, seq: k.seq, f: k.f, buf: buf, off: off, pooled: pooled, reply: k.replies})
-	k.out++
-	return nil
-}
-
-func (k *schedWriteSink) finish() error {
-	for k.out > 0 {
-		k.reap()
-	}
-	if rep := k.ds.rpc(k.clk, diskReq{kind: dSync, seq: k.seq, f: k.f}); k.err == nil {
-		k.err = rep.err
-	}
-	if rep := k.ds.rpc(k.clk, diskReq{kind: dClose, seq: k.seq, f: k.f}); k.err == nil {
-		k.err = rep.err
-	}
-	return k.err
-}
-
-func (k *schedWriteSink) abandon() {
-	for k.out > 0 {
-		k.reap()
-	}
-	k.ds.rpc(k.clk, diskReq{kind: dClose, seq: k.seq, f: k.f})
-}
-
-func (k *schedWriteSink) report() (int64, int64) { return 0, 0 }
-
-// schedReadSource reads through the shared diskSched, one sub-chunk at
-// a time: read-ahead across ops comes from the batch drain, not from
-// per-op prefetch depth.
-type schedReadSource struct {
-	ds  *diskSched
-	clk clock.Clock
-	f   storage.File
-	seq int
-}
-
-func (s *Server) newSchedReadSource(name string, want int64) (readSource, error) {
-	rep := s.dsched.rpc(s.clk, diskReq{kind: dOpen, seq: s.opSeq, name: name, want: want})
-	if rep.err != nil {
-		return nil, rep.err
-	}
-	return &schedReadSource{ds: s.dsched, clk: s.clk, f: rep.f, seq: s.opSeq}, nil
-}
-
-func (k *schedReadSource) next(sj subchunkJob) ([]byte, error) {
-	buf := bufpool.GetRaw(int(sj.Bytes))
-	rep := k.ds.rpc(k.clk, diskReq{kind: dRead, seq: k.seq, f: k.f, buf: buf, off: sj.FileOffset})
-	if rep.err != nil {
-		bufpool.Put(buf)
-		return nil, rep.err
-	}
-	return buf, nil
-}
-
-func (k *schedReadSource) finish() error {
-	k.ds.rpc(k.clk, diskReq{kind: dClose, seq: k.seq, f: k.f})
-	return nil
-}
-
-func (k *schedReadSource) abandon() {
-	k.ds.rpc(k.clk, diskReq{kind: dClose, seq: k.seq, f: k.f})
-}
-
-func (k *schedReadSource) report() (int64, int64) { return 0, 0 }

@@ -12,7 +12,7 @@ import (
 	"panda/internal/storage"
 )
 
-// The staged server engine.
+// The server engine.
 //
 // A server's share of one collective operation is a three-stage
 // pipeline:
@@ -20,88 +20,48 @@ import (
 //	planner  — assignChunks/planSubchunks (pure math, runs inline);
 //	mover    — the network stage: pulls pieces from clients (writes) or
 //	           scatters them (reads), and owns all deadline, retry and
-//	           abort handling. The mover runs on the server's main
-//	           process because the communicator endpoint is bound to it.
-//	storage  — the disk stage: a per-operation writer or reader that
-//	           issues strictly in-order WriteAt/ReadAt calls from its
-//	           own concurrent activity (goroutine under the wall clock,
-//	           simulated process under vtime), preserving the paper's
-//	           sequential-file guarantee while overlapping disk time
-//	           with network time.
+//	           abort handling. The mover runs on the operation's own
+//	           activity because the communicator endpoint is bound to it.
+//	storage  — the node's storage stage (disksched.go), shared by every
+//	           operation on the node, which issues the file calls.
 //
-// The stages are connected by a bounded SPSC pipe from the clock
-// domain, so the same engine code runs identically — and, under vtime,
-// deterministically — in real and simulated deployments. With
-// Pipeline <= 1 and ReadAhead == 0 (the paper's configuration) the
-// storage stage is not spawned at all: writes and reads run the
-// original strictly serial path, byte-for-byte reproducing the paper's
-// timings.
+// The mover reaches the storage stage through a stream: one file, one
+// bounded window of outstanding requests.
+//
+//	writes — at most Pipeline requests outstanding: after handing a
+//	         completed sub-chunk over, the mover waits until fewer than
+//	         Pipeline writes are in flight, so Pipeline-1 of them write
+//	         behind its next pulls.
+//	reads  — at most ReadAhead+1 requests outstanding, in plan order:
+//	         the sub-chunk the mover waits for plus ReadAhead prefetched
+//	         behind it.
+//
+// Pipeline <= 1 and ReadAhead == 0 (the paper's configuration) is
+// therefore submit-and-wait: strictly serial, reproducing the paper's
+// timings, since the hand-off itself costs no virtual time.
 //
 // Failure model across the stage boundary: the mover keeps exclusive
-// ownership of deadlines, retries and aborts (PR 1's semantics are
-// unchanged). A storage-stage error raises a stop flag the mover
-// observes on its next hand-off; a mover abort raises the same flag so
-// the storage stage discards queued work. Either way the mover joins
-// the storage stage before returning, so an operation never leaks a
-// concurrent activity, and the first error in pipeline order wins.
+// ownership of deadlines, retries and aborts. A storage error rides
+// back on its reply and is sticky in the stream, failing the next
+// hand-off. Either way the mover drains its window before the operation
+// returns, so no request outlives the operation, and the first error in
+// reply order wins.
 //
-// Observability: disk spans land on the "serverN/storage" track (a
-// separate Chrome thread under the server's process), stall spans on
-// the mover's own track, so a trace viewer shows overlap directly as
-// concurrent disk and network spans. Stall spans shorter than 1µs are
-// suppressed — a real-clock hand-off through an unfull pipe costs
-// nanoseconds and is not a stall.
+// Observability: under a window wider than one, the mover's waits on
+// replies are stalls (stall spans land on the mover's own track), and
+// the reply disk time it did not wait for is overlap. Under a window of
+// one the mover is simply doing its own disk I/O: neither is counted.
+// Stall spans shorter than 1µs are suppressed — a real-clock hand-off
+// costs nanoseconds and is not a stall.
 
 // stallSpanFloor filters hand-off noise out of stall spans; the stall
 // *counters* still accumulate every nanosecond.
 const stallSpanFloor = time.Microsecond
 
-// stageResult is what the storage stage reports back when it drains:
-// its outcome and the time it spent inside disk calls.
-type stageResult struct {
-	err       error
-	diskNanos int64
-}
+// errStreamAbandoned answers a queued request whose stream gave up.
+var errStreamAbandoned = errors.New("core: storage stream abandoned")
 
-// wbItem is one completed sub-chunk travelling mover → storage during a
-// write. pooled marks buffers owned by bufpool (assembled sub-chunks);
-// adopted wire frames are not recyclable.
-type wbItem struct {
-	buf    []byte
-	off    int64
-	pooled bool
-}
-
-// rdItem is one prefetched sub-chunk travelling storage → mover during
-// a read. The buffer is always pooled.
-type rdItem struct {
-	buf []byte
-}
-
-// errStorageStopped reports that the storage stage ended before the
-// mover expected it to — it carries no cause; join for the real error.
-var errStorageStopped = errors.New("core: storage stage stopped early")
-
-// writeSink absorbs completed sub-chunks in plan order. Exactly one of
-// finish (success path: sync, close, surface storage errors) or abandon
-// (mover failed: discard queued work, still join) must be called.
-type writeSink interface {
-	write(buf []byte, off int64, pooled bool) error
-	finish() error
-	abandon()
-	report() (diskNanos, stallNanos int64)
-}
-
-// readSource produces sub-chunks in plan order. Exactly one of finish
-// or abandon must be called.
-type readSource interface {
-	next(sj subchunkJob) ([]byte, error)
-	finish() error
-	abandon()
-	report() (diskNanos, stallNanos int64)
-}
-
-// mergeStage folds a completed stage's accounting into the server
+// mergeStage folds a finished stream's accounting into the server
 // stats: the disk time the pipeline hid is what the storage stage spent
 // on disk beyond the mover's waits for it.
 func (s *Server) mergeStage(diskNanos, stallNanos int64) {
@@ -111,211 +71,60 @@ func (s *Server) mergeStage(diskNanos, stallNanos int64) {
 	}
 }
 
-// storageTrack resolves the disk-stage trace track for this server:
-// same Chrome process as the mover, its own thread.
-func (s *Server) storageTrack() obs.Track {
-	return s.cfg.Trace.Track(fmt.Sprintf("server%d/storage", s.index))
+// stream is one operation's window onto the node's storage stage for
+// one file. Exactly one of finish (success path: drain, sync, close,
+// surface storage errors) or abandon (mover failed: drain, close) must
+// be called.
+type stream struct {
+	stage   *storageStage
+	clk     clock.Clock // the mover's clock: stalls are charged to it
+	tr      obs.Track   // the mover's track: stall spans land here
+	seq     int
+	depth   *obs.Histogram
+	f       storage.File
+	replies mbox[diskReply]
+	window  int
+	out     int   // requests submitted whose replies are not yet taken
+	err     error // first failure; sticky
+	writing bool
+	gaveUp  atomic.Bool // set by abandon: the stage drops queued I/O
+
+	subs []subchunkJob // reads: the plan, submitted in order
+	sent int           // reads: plan entries submitted so far
+
+	diskNanos, stall int64
 }
 
-// --- write path ---------------------------------------------------------
-
-// newWriteSink picks the write-behind engine when the configuration and
-// clock allow overlap, and the paper's inline writer otherwise.
-func (s *Server) newWriteSink(name string) (writeSink, error) {
-	if s.dsched != nil {
-		// Scheduler executors share the node's storage activity so
-		// concurrent ops batch and merge at the disk (disksched.go).
-		return s.newSchedWriteSink(name)
-	}
-	if dom, ok := s.clk.(clock.Domain); ok && s.cfg.pipeline() >= 2 {
-		return s.newStagedWriteSink(dom, name), nil
-	}
-	f, err := s.disk.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &serialWriteSink{f: f, clk: s.clk, tr: s.storageTrack(), seq: s.opSeq}, nil
+// openWriteStream creates name on the storage stage for a write window
+// of Pipeline requests.
+func (s *Server) openWriteStream(name string) (*stream, error) {
+	return s.openStream(diskReq{kind: dCreate, name: name}, s.cfg.pipeline(), nil)
 }
 
-// serialWriteSink is the paper's behaviour: WriteAt inline on the mover.
-// Disk spans still land on the storage track so serial and staged
-// traces line up column-for-column.
-type serialWriteSink struct {
-	f   storage.File
-	clk clock.Clock
-	tr  obs.Track
-	seq int
+// openReadStream opens name on the storage stage, checking it holds
+// want bytes, for a read window of ReadAhead+1 requests over subs.
+func (s *Server) openReadStream(name string, subs []subchunkJob, want int64) (*stream, error) {
+	return s.openStream(diskReq{kind: dOpen, name: name, want: want}, s.cfg.readAhead()+1, subs)
 }
 
-func (k *serialWriteSink) write(buf []byte, off int64, pooled bool) error {
-	var t0 time.Duration
-	if k.tr.Enabled() {
-		t0 = k.clk.Now()
+func (s *Server) openStream(open diskReq, window int, subs []subchunkJob) (*stream, error) {
+	open.seq = s.opSeq
+	rep := s.stage.rpc(s.clk, open)
+	if rep.err != nil {
+		return nil, rep.err
 	}
-	_, err := k.f.WriteAt(buf, off)
-	if k.tr.Enabled() {
-		k.tr.Span(obs.CatDisk, "WriteAt", k.seq, t0, k.clk.Now(), int64(len(buf)))
-	}
-	if pooled {
-		bufpool.Put(buf)
-	}
-	return err
-}
-
-func (k *serialWriteSink) finish() error {
-	err := k.f.Sync()
-	if cerr := k.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func (k *serialWriteSink) abandon() { k.f.Close() }
-
-func (k *serialWriteSink) report() (int64, int64) { return 0, 0 }
-
-// stagedWriteSink hands sub-chunks to a storage-stage activity through a
-// bounded pipe and writes behind the network.
-type stagedWriteSink struct {
-	clk    clock.Clock // the mover's clock: stalls are charged to it
-	tr     obs.Track   // the mover's track: stall spans land here
-	seq    int
-	depth  atomic.Int64 // queued sub-chunks (mover pushes, stage pops)
-	met    *obs.Histogram
-	pipe   clock.Pipe
-	done   clock.Pipe
-	stop   *atomic.Bool
-	stall  int64
-	joined bool
-	res    stageResult
-}
-
-func (s *Server) newStagedWriteSink(dom clock.Domain, name string) *stagedWriteSink {
-	k := &stagedWriteSink{
-		clk:  s.clk,
-		tr:   s.tr,
-		seq:  s.opSeq,
-		met:  s.met.queueDepth,
-		pipe: dom.NewPipe(s.cfg.pipeline()),
-		done: dom.NewPipe(1),
-		stop: new(atomic.Bool),
-	}
-	disk := s.disk
-	str := s.storageTrack()
-	seq := s.opSeq
-	dom.Go(fmt.Sprintf("server%d-writer", s.index), func(clk clock.Clock) {
-		d := storage.RebindClock(disk, clk)
-		var diskNanos int64
-		f, err := d.Create(name)
-		if err != nil {
-			k.stop.Store(true)
-		}
-		for {
-			v, ok := k.pipe.Pop()
-			if !ok {
-				break
-			}
-			k.depth.Add(-1)
-			it := v.(wbItem)
-			if err == nil && !k.stop.Load() {
-				t0 := clk.Now()
-				if _, werr := f.WriteAt(it.buf, it.off); werr != nil {
-					err = werr
-					k.stop.Store(true)
-				}
-				t1 := clk.Now()
-				diskNanos += int64(t1 - t0)
-				str.Span(obs.CatDisk, "WriteAt", seq, t0, t1, int64(len(it.buf)))
-			}
-			if it.pooled {
-				bufpool.Put(it.buf)
-			}
-		}
-		if f != nil {
-			if err == nil && !k.stop.Load() {
-				err = f.Sync()
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		k.done.Push(stageResult{err: err, diskNanos: diskNanos})
-	})
-	return k
-}
-
-func (k *stagedWriteSink) join() {
-	if k.joined {
-		return
-	}
-	k.joined = true
-	k.pipe.Close()
-	t0 := k.clk.Now()
-	v, ok := k.done.Pop()
-	t1 := k.clk.Now()
-	k.stall += int64(t1 - t0)
-	if t1-t0 >= stallSpanFloor {
-		k.tr.Span(obs.CatStall, "join storage", k.seq, t0, t1, 0)
-	}
-	if ok {
-		k.res = v.(stageResult)
-	} else {
-		k.res = stageResult{err: errStorageStopped}
-	}
-}
-
-func (k *stagedWriteSink) write(buf []byte, off int64, pooled bool) error {
-	if k.stop.Load() {
-		// The storage stage failed; surface its error instead of
-		// queueing work it will discard.
-		if pooled {
-			bufpool.Put(buf)
-		}
-		k.join()
-		if k.res.err != nil {
-			return k.res.err
-		}
-		return errStorageStopped
-	}
-	k.met.Observe(k.depth.Add(1))
-	t0 := k.clk.Now()
-	k.pipe.Push(wbItem{buf: buf, off: off, pooled: pooled})
-	t1 := k.clk.Now()
-	k.stall += int64(t1 - t0)
-	if t1-t0 >= stallSpanFloor {
-		k.tr.Span(obs.CatStall, "write-behind full", k.seq, t0, t1, int64(len(buf)))
-	}
-	return nil
-}
-
-func (k *stagedWriteSink) finish() error {
-	k.join()
-	return k.res.err
-}
-
-func (k *stagedWriteSink) abandon() {
-	k.stop.Store(true) // queued sub-chunks are discarded, not written
-	k.join()
-}
-
-func (k *stagedWriteSink) report() (int64, int64) { return k.res.diskNanos, k.stall }
-
-// --- read path ----------------------------------------------------------
-
-// newReadSource picks the read-ahead engine when the configuration and
-// clock allow overlap, and the paper's inline reader otherwise.
-func (s *Server) newReadSource(spec ArraySpec, name string, subs []subchunkJob, want int64) (readSource, error) {
-	if s.dsched != nil {
-		return s.newSchedReadSource(name, want)
-	}
-	if dom, ok := s.clk.(clock.Domain); ok && s.cfg.readAhead() >= 1 {
-		return s.newStagedReadSource(dom, spec, name, subs, want), nil
-	}
-	f, err := s.openForRead(s.disk, name, want)
-	if err != nil {
-		return nil, err
-	}
-	return &serialReadSource{f: f, clk: s.clk, tr: s.storageTrack(), seq: s.opSeq}, nil
+	return &stream{
+		stage:   s.stage,
+		clk:     s.clk,
+		tr:      s.tr,
+		seq:     s.opSeq,
+		depth:   s.met.queueDepth,
+		f:       rep.f,
+		replies: newMbox[diskReply](s.clk),
+		window:  window,
+		writing: open.kind == dCreate,
+		subs:    subs,
+	}, nil
 }
 
 // openForRead opens the array file and checks it holds this server's
@@ -337,151 +146,104 @@ func (s *Server) openForRead(d storage.Disk, name string, want int64) (storage.F
 	return f, nil
 }
 
-// serialReadSource is the paper's behaviour: ReadAt inline on the mover.
-type serialReadSource struct {
-	f   storage.File
-	clk clock.Clock
-	tr  obs.Track
-	seq int
+func (k *stream) submit(req diskReq) {
+	req.seq, req.f, req.reply, req.abandoned = k.seq, k.f, k.replies, &k.gaveUp
+	k.stage.box.put(req)
+	k.out++
+	k.depth.Observe(int64(k.out))
 }
 
-func (k *serialReadSource) next(sj subchunkJob) ([]byte, error) {
-	buf := bufpool.GetRaw(int(sj.Bytes))
-	var t0 time.Duration
-	if k.tr.Enabled() {
-		t0 = k.clk.Now()
-	}
-	if _, err := k.f.ReadAt(buf, sj.FileOffset); err != nil {
-		bufpool.Put(buf)
-		return nil, err
-	}
-	if k.tr.Enabled() {
-		k.tr.Span(obs.CatDisk, "ReadAt", k.seq, t0, k.clk.Now(), sj.Bytes)
-	}
-	return buf, nil
-}
-
-func (k *serialReadSource) finish() error { k.f.Close(); return nil }
-
-func (k *serialReadSource) abandon() { k.f.Close() }
-
-func (k *serialReadSource) report() (int64, int64) { return 0, 0 }
-
-// stagedReadSource prefetches up to ReadAhead sub-chunks beyond the one
-// the mover is scattering. File access stays strictly sequential: one
-// storage activity issues the ReadAt calls in plan order.
-type stagedReadSource struct {
-	clk    clock.Clock
-	tr     obs.Track
-	seq    int
-	depth  atomic.Int64
-	met    *obs.Histogram
-	pipe   clock.Pipe
-	done   clock.Pipe
-	stop   *atomic.Bool
-	stall  int64
-	joined bool
-	res    stageResult
-}
-
-func (s *Server) newStagedReadSource(dom clock.Domain, spec ArraySpec, name string, subs []subchunkJob, want int64) *stagedReadSource {
-	k := &stagedReadSource{
-		clk:  s.clk,
-		tr:   s.tr,
-		seq:  s.opSeq,
-		met:  s.met.queueDepth,
-		pipe: dom.NewPipe(s.cfg.readAhead()),
-		done: dom.NewPipe(1),
-		stop: new(atomic.Bool),
-	}
-	disk := s.disk
-	srv := s
-	str := s.storageTrack()
-	seq := s.opSeq
-	dom.Go(fmt.Sprintf("server%d-reader", s.index), func(clk clock.Clock) {
-		d := storage.RebindClock(disk, clk)
-		var diskNanos int64
-		f, err := srv.openForRead(d, name, want)
-		if err == nil {
-			for _, sj := range subs {
-				if k.stop.Load() {
-					break
-				}
-				buf := bufpool.GetRaw(int(sj.Bytes))
-				t0 := clk.Now()
-				_, rerr := f.ReadAt(buf, sj.FileOffset)
-				t1 := clk.Now()
-				diskNanos += int64(t1 - t0)
-				if rerr != nil {
-					bufpool.Put(buf)
-					err = rerr
-					break
-				}
-				str.Span(obs.CatDisk, "ReadAt", seq, t0, t1, sj.Bytes)
-				k.met.Observe(k.depth.Add(1))
-				k.pipe.Push(rdItem{buf: buf})
-			}
-			f.Close()
-		}
-		k.pipe.Close()
-		k.done.Push(stageResult{err: err, diskNanos: diskNanos})
-	})
-	return k
-}
-
-func (k *stagedReadSource) next(sj subchunkJob) ([]byte, error) {
+// reap takes the oldest outstanding reply, accounting the wait for it
+// as a stall (and the reply's disk time as candidate overlap) when the
+// window lets the mover run ahead of the disk.
+func (k *stream) reap(why string) diskReply {
 	t0 := k.clk.Now()
-	v, ok := k.pipe.Pop()
+	rep, _ := k.replies.pop(k.clk, nil, 0) // the reply box is never closed
 	t1 := k.clk.Now()
-	k.stall += int64(t1 - t0)
-	if t1-t0 >= stallSpanFloor {
-		k.tr.Span(obs.CatStall, "prefetch wait", k.seq, t0, t1, sj.Bytes)
-	}
-	if !ok {
-		// Producer ended before delivering this sub-chunk: join and
-		// surface its error.
-		k.join()
-		if k.res.err != nil {
-			return nil, k.res.err
+	k.out--
+	if k.window > 1 {
+		k.stall += int64(t1 - t0)
+		k.diskNanos += rep.nanos
+		if t1-t0 >= stallSpanFloor {
+			k.tr.Span(obs.CatStall, why, k.seq, t0, t1, int64(len(rep.buf)))
 		}
-		return nil, errStorageStopped
 	}
-	k.depth.Add(-1)
-	return v.(rdItem).buf, nil
+	if k.err == nil {
+		k.err = rep.err
+	}
+	return rep
 }
 
-func (k *stagedReadSource) join() {
-	if k.joined {
-		return
-	}
-	k.joined = true
-	k.stop.Store(true)
-	for {
-		v, ok := k.pipe.Pop()
-		if !ok {
-			break
+// write hands one completed sub-chunk, in plan order, to the storage
+// stage, then waits until fewer than window writes are outstanding.
+// pooled marks buffers owned by bufpool, which the stage recycles once
+// written. It returns the first storage error seen so far.
+func (k *stream) write(buf []byte, off int64, pooled bool) error {
+	if k.err != nil {
+		if pooled {
+			bufpool.Put(buf)
 		}
-		bufpool.Put(v.(rdItem).buf)
+		return k.err
 	}
-	t0 := k.clk.Now()
-	v, ok := k.done.Pop()
-	t1 := k.clk.Now()
-	k.stall += int64(t1 - t0)
-	if t1-t0 >= stallSpanFloor {
-		k.tr.Span(obs.CatStall, "join storage", k.seq, t0, t1, 0)
+	k.submit(diskReq{kind: dWrite, buf: buf, off: off, pooled: pooled})
+	for k.out >= k.window {
+		k.reap("write-behind full")
 	}
-	if ok {
-		k.res = v.(stageResult)
-	} else {
-		k.res = stageResult{err: errStorageStopped}
+	return k.err
+}
+
+// next returns the next sub-chunk of the plan, read into a pooled
+// buffer, after topping the window up with the reads that follow it.
+// The mover calls it once per plan entry.
+func (k *stream) next() ([]byte, error) {
+	for k.err == nil && k.sent < len(k.subs) && k.out < k.window {
+		sj := k.subs[k.sent]
+		k.sent++
+		k.submit(diskReq{kind: dRead, buf: bufpool.GetRaw(int(sj.Bytes)), off: sj.FileOffset})
+	}
+	if k.err != nil {
+		return nil, k.err
+	}
+	rep := k.reap("prefetch wait")
+	if rep.err != nil {
+		bufpool.Put(rep.buf)
+		return nil, rep.err
+	}
+	return rep.buf, nil
+}
+
+// drain takes every outstanding reply, recycling prefetched buffers.
+func (k *stream) drain() {
+	for k.out > 0 {
+		if rep := k.reap("join storage"); rep.buf != nil {
+			bufpool.Put(rep.buf)
+		}
 	}
 }
 
-func (k *stagedReadSource) finish() error {
-	k.join()
-	return k.res.err
+func (k *stream) call(kind int) {
+	k.submit(diskReq{kind: kind})
+	k.reap("join storage")
 }
 
-func (k *stagedReadSource) abandon() { k.join() }
+// finish drains the window, syncs a written file and closes the
+// handle, returning the first failure.
+func (k *stream) finish() error {
+	k.drain()
+	if k.writing && k.err == nil {
+		k.call(dSync)
+	}
+	k.call(dClose)
+	return k.err
+}
 
-func (k *stagedReadSource) report() (int64, int64) { return k.res.diskNanos, k.stall }
+// abandon drains the window and closes the handle without syncing: the
+// operation already failed, so the stage drops whatever reads and
+// writes of this stream it has not started yet.
+func (k *stream) abandon() {
+	k.gaveUp.Store(true)
+	k.drain()
+	k.call(dClose)
+}
+
+func (k *stream) report() (diskNanos, stallNanos int64) { return k.diskNanos, k.stall }

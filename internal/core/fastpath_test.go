@@ -75,7 +75,7 @@ func TestPlanCacheHitsAndKeys(t *testing.T) {
 	}
 
 	// Replan adoption clears the map; the next plan recomputes.
-	s.plans = nil
+	s.plans.clear()
 	s.planFor(0, spec, nil)
 	if got := s.Stats(); got.PlanMisses != 4 {
 		t.Fatalf("cleared cache still hit: misses=%d", got.PlanMisses)
@@ -94,7 +94,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 	if got := s.Stats(); got.PlanHits != 0 || got.PlanMisses != 0 {
 		t.Fatalf("disabled cache counted hits=%d misses=%d", got.PlanHits, got.PlanMisses)
 	}
-	if s.plans != nil {
+	if s.plans.m != nil {
 		t.Error("disabled cache still stored plans")
 	}
 }
@@ -107,8 +107,8 @@ func TestPlanCacheBounded(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		s.planFor(0, fastpathSpec(fmt.Sprintf("a%d", i), []int{2, 1}), nil)
 	}
-	if len(s.plans) > 4 {
-		t.Fatalf("cache grew to %d entries past its bound of 4", len(s.plans))
+	if n := len(s.plans.m); n > 4 {
+		t.Fatalf("cache grew to %d entries past its bound of 4", n)
 	}
 }
 
@@ -116,49 +116,53 @@ func TestPlanCacheBounded(t *testing.T) {
 // same arrays written repeatedly under step suffixes — through a full
 // simulated deployment and checks the plan cache is demonstrably hit:
 // one miss per (server, array) on the first step, pure hits afterwards,
-// visible both in ServerStats and in the metrics registry.
+// visible both in ServerStats and in the metrics registry. Scheduler
+// executors share the node's cache, so the counts hold on both
+// dispatch paths.
 func TestPlanCacheTimestepHits(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := Config{
-		NumClients: 4, NumServers: 2, SubchunkBytes: 2 << 10,
-		PlainWrites: true, Metrics: reg,
-	}
-	shape := []int{64, 64}
-	mem := array.MustSchema(shape, []array.Dist{array.Block, array.Block}, []int{2, 2})
-	disk := array.MustSchema(shape, []array.Dist{array.Block, array.Star}, []int{2})
-	specs := []ArraySpec{{Name: "ts", ElemSize: 4, Mem: mem, Disk: disk}}
-
-	const steps = 4
-	res, err := RunSim(cfg, mpi.SP2Link(), SimDiskFactory(storage.SP2AIX()), func(cl *Client) error {
-		bufs := makeBufs(cl, specs, true)
-		for step := 0; step < steps; step++ {
-			if werr := cl.WriteArrays(fmt.Sprintf(".t%d", step), specs, bufs); werr != nil {
-				return werr
-			}
+	forEachDispatchPath(t, func(t *testing.T, sched SchedConfig) {
+		reg := obs.NewRegistry()
+		cfg := Config{
+			NumClients: 4, NumServers: 2, SubchunkBytes: 2 << 10,
+			PlainWrites: true, Metrics: reg, Sched: sched,
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		shape := []int{64, 64}
+		mem := array.MustSchema(shape, []array.Dist{array.Block, array.Block}, []int{2, 2})
+		disk := array.MustSchema(shape, []array.Dist{array.Block, array.Star}, []int{2})
+		specs := []ArraySpec{{Name: "ts", ElemSize: 4, Mem: mem, Disk: disk}}
 
-	var hits, misses int64
-	for _, st := range res.ServerStats {
-		hits += st.PlanHits
-		misses += st.PlanMisses
-	}
-	wantMisses := int64(cfg.NumServers)
-	wantHits := int64(cfg.NumServers * (steps - 1))
-	if misses != wantMisses || hits != wantHits {
-		t.Errorf("timestep plan cache: hits=%d misses=%d, want %d/%d",
-			hits, misses, wantHits, wantMisses)
-	}
-	if v := reg.Counter("plan_cache_hits").Value(); v != wantHits {
-		t.Errorf("plan_cache_hits metric = %d, want %d", v, wantHits)
-	}
-	if v := reg.Counter("plan_cache_misses").Value(); v != wantMisses {
-		t.Errorf("plan_cache_misses metric = %d, want %d", v, wantMisses)
-	}
+		const steps = 4
+		res, err := RunSim(cfg, mpi.SP2Link(), SimDiskFactory(storage.SP2AIX()), func(cl *Client) error {
+			bufs := makeBufs(cl, specs, true)
+			for step := 0; step < steps; step++ {
+				if werr := cl.WriteArrays(fmt.Sprintf(".t%d", step), specs, bufs); werr != nil {
+					return werr
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var hits, misses int64
+		for _, st := range res.ServerStats {
+			hits += st.PlanHits
+			misses += st.PlanMisses
+		}
+		wantMisses := int64(cfg.NumServers)
+		wantHits := int64(cfg.NumServers * (steps - 1))
+		if misses != wantMisses || hits != wantHits {
+			t.Errorf("timestep plan cache: hits=%d misses=%d, want %d/%d",
+				hits, misses, wantHits, wantMisses)
+		}
+		if v := reg.Counter("plan_cache_hits").Value(); v != wantHits {
+			t.Errorf("plan_cache_hits metric = %d, want %d", v, wantHits)
+		}
+		if v := reg.Counter("plan_cache_misses").Value(); v != wantMisses {
+			t.Errorf("plan_cache_misses metric = %d, want %d", v, wantMisses)
+		}
+	})
 }
 
 // TestPlanCacheInvalidatedOnFailover writes once with a full house,

@@ -40,8 +40,8 @@ type nodeMetrics struct {
 	// recvWait observes time blocked waiting for a protocol message —
 	// the node-local flavour of message latency.
 	recvWait *obs.Histogram
-	// queueDepth observes the staged engine's inter-stage queue
-	// occupancy at every hand-off.
+	// queueDepth observes an operation's outstanding requests at the
+	// storage stage at every hand-off.
 	queueDepth *obs.Histogram
 	// Scheduler instruments: frames refused by op-ID screening, ops
 	// refused at admission, adjacent disk requests merged across the

@@ -38,9 +38,9 @@ import (
 //	            receives come from the op's mailbox. Executors carry a
 //	            private Stats block the router merges into the node
 //	            totals at retirement, so per-op attribution is exact.
-//	disk      — executors route bulk data through the shared diskSched
-//	            (disksched.go), which batches and merges adjacent
-//	            requests across ops.
+//	disk      — executors share the node's storage stage (disksched.go),
+//	            which batches and merges adjacent requests across ops,
+//	            and the node's plan cache.
 //
 // An executor announces completion by sending a SchedDone frame to its
 // own rank — a node-local loopback that works identically on the
@@ -261,9 +261,6 @@ func (s *Server) serveSched(dom clock.Domain) error {
 	if s.IsMaster() {
 		r.core = newSchedCore(s.cfg.Sched)
 	}
-	s.dsched = newDiskSched(dom, s)
-	defer s.dsched.stop()
-
 	for {
 		if r.fatal != nil && r.inflight == 0 {
 			for _, op := range r.flushQueued() {
@@ -607,7 +604,8 @@ func (r *schedRouter) start(op *schedOp) {
 		stats:       &Stats{},
 		opFramed:    true,
 		tenant:      op.tenant,
-		dsched:      s.dsched,
+		stage:       s.stage,
+		plans:       s.plans,
 		lastSeq:     -1,
 		lastAttempt: -1,
 		lastRound:   -1,
@@ -619,7 +617,7 @@ func (r *schedRouter) start(op *schedOp) {
 		ex.clk = clk
 		ex.comm = &routedComm{under: under, box: op.box, clk: clk}
 		// Metadata I/O (manifests, decision records, renames) runs on
-		// the executor's own clock; bulk data goes through dsched.
+		// the executor's own clock; bulk data goes through the stage.
 		ex.disk = storage.RebindClock(s.disk, clk)
 		ex.tr = s.cfg.Trace.Track(fmt.Sprintf("server%d/op%d", s.index, seq))
 		ex.acceptReq(op.req)

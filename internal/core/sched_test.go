@@ -23,11 +23,16 @@ import (
 // never corrupts or deadlocks another's operation, and frame-routing
 // isolation for op-ID-scoped frames.
 
+// schedCfg builds a scheduler deployment at pandad's default write
+// window of 2: an op's writes can then queue at the storage stage
+// together, which is where batching finds adjacent writes to merge. At
+// Pipeline 1 every write is submit-and-wait.
 func schedCfg(clients, servers, inflight int) Config {
 	return Config{
 		NumClients:    clients,
 		NumServers:    servers,
 		SubchunkBytes: 1 << 10,
+		Pipeline:      2,
 		Sched:         SchedConfig{MaxInflight: inflight},
 	}
 }

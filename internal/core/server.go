@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,12 +35,16 @@ type Server struct {
 
 	// Scheduler state. On the root server opFramed is false and stats
 	// is the node-global counter block. Executor copies (one per
-	// in-flight op, see sched.go) set opFramed, carry a private stats
-	// block that the router merges into the global at completion, and
-	// route their disk traffic through dsched.
+	// in-flight op, see sched.go) set opFramed and carry a private stats
+	// block that the router merges into the global at completion.
 	opFramed bool
 	tenant   string
-	dsched   *diskSched
+
+	// stage is the node's storage activity (disksched.go), started by
+	// Serve; plans is the node's plan cache. Executor copies share both
+	// with the root server.
+	stage *storageStage
+	plans *planCache
 
 	// ranks is the submitting session's membership (world rank per mem
 	// chunk), adopted from the request; nil for fixed-shape deployments
@@ -51,21 +56,63 @@ type Server struct {
 	// newer, so duplicate deliveries and rebroadcast copies of replanning
 	// rounds are dropped while genuine retries get through.
 	lastSeq, lastAttempt, lastRound int
-	// lastMemberEpoch is the membership epoch of the newest request seen;
-	// when it moves the plan cache is invalidated outright (the alive set
-	// changed, so memoized chunk assignments are suspect even beyond what
-	// the per-key deads mask captures).
-	lastMemberEpoch uint32
 	// curAttempt and curRound identify the request currently executing,
 	// for stale-frame filtering inside the operation. curDeads is that
 	// request's dead-server list — the member-set complement every rank
 	// needs to derive the same control-broadcast tree locally.
 	curAttempt, curRound uint16
 	curDeads             []int
+}
 
-	// plans memoizes schema-derived sub-chunk plans (see planFor). Only
-	// the server goroutine touches it.
-	plans map[planKey]planEntry
+// planCache memoizes schema-derived sub-chunk plans (see planFor) for a
+// whole node: the root server and every scheduler executor share one,
+// so scheduled operations hit it exactly as serial ones do.
+type planCache struct {
+	mu sync.Mutex
+	m  map[planKey]planEntry
+	// epoch is the membership epoch of the newest request seen; when it
+	// moves the cache is cleared outright (the alive set changed, so
+	// memoized chunk assignments are suspect even beyond what the
+	// per-key deads mask captures).
+	epoch uint32
+}
+
+func (c *planCache) get(k planKey) (planEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[k]
+	return e, ok
+}
+
+// put stores one plan, restarting the map rather than evicting when it
+// holds bound entries already.
+func (c *planCache) put(k planKey, e planEntry, bound int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.m) >= bound || c.m == nil {
+		c.m = make(map[planKey]planEntry)
+	}
+	c.m[k] = e
+}
+
+func (c *planCache) clear() {
+	c.mu.Lock()
+	c.m = nil
+	c.mu.Unlock()
+}
+
+// observeEpoch clears the cache when a request carries a membership
+// epoch other than the last one seen (0 means no membership layer).
+func (c *planCache) observeEpoch(epoch uint32) {
+	if epoch == 0 {
+		return
+	}
+	c.mu.Lock()
+	if epoch != c.epoch {
+		c.epoch = epoch
+		c.m = nil
+	}
+	c.mu.Unlock()
 }
 
 // planKey identifies one array's schema-derived plan on this server.
@@ -123,13 +170,14 @@ type Stats struct {
 	// more participants dead (writes after reassignment, reads served
 	// entirely by survivors).
 	Degraded int64
-	// OverlapNanos is disk time the staged engine hid behind network
-	// activity: the storage stage's busy time minus the network stage's
-	// waits on it, clamped at zero. Zero when the engine runs serially
-	// (Pipeline <= 1 and ReadAhead == 0).
+	// OverlapNanos is disk time the storage stage hid behind network
+	// activity: the disk time of an operation's requests minus the
+	// mover's waits on their replies, clamped at zero. Zero when the
+	// engine runs serially (Pipeline <= 1 for writes, ReadAhead == 0
+	// for reads), on either dispatch path.
 	OverlapNanos int64
 	// StallNanos is time the network stage spent blocked on the storage
-	// stage — writes waiting for a full write-behind queue, reads
+	// stage — writes waiting for a full write-behind window, reads
 	// waiting for a prefetch, and end-of-array joins. High stalls mean
 	// the disk, not the network, bounds the operation.
 	StallNanos int64
@@ -172,6 +220,7 @@ func NewServer(cfg Config, comm mpi.Comm, disk storage.Disk, clk clock.Clock) *S
 		tr:          cfg.Trace.Track(fmt.Sprintf("server%d", idx)),
 		met:         newNodeMetrics(cfg.Metrics),
 		stats:       &Stats{},
+		plans:       &planCache{},
 		lastSeq:     -1,
 		lastAttempt: -1,
 		lastRound:   -1,
@@ -193,10 +242,14 @@ func (s *Server) IsMaster() bool { return s.comm.Rank() == s.cfg.MasterServer() 
 // reports the master client dead — the deployment cannot receive
 // further work or an orderly shutdown once its coordinator is gone.
 func (s *Server) Serve() error {
+	dom, ok := s.clk.(clock.Domain)
+	if !ok {
+		return fmt.Errorf("core: server %d: the storage stage requires a clock.Domain (Real or Virtual)", s.index)
+	}
+	s.stage = startStorageStage(dom, s)
+	defer s.stage.stop(s.clk)
 	if s.cfg.Sched.enabled() {
-		if dom, ok := s.clk.(clock.Domain); ok {
-			return s.serveSched(dom)
-		}
+		return s.serveSched(dom)
 	}
 	for {
 		m, err := s.recvControl()
@@ -248,10 +301,7 @@ func (s *Server) acceptReq(req opRequest) bool {
 	s.curAttempt, s.curRound = req.Attempt, req.Round
 	s.curDeads = req.Deads
 	s.ranks = req.Ranks
-	if req.MemberEpoch != 0 && req.MemberEpoch != s.lastMemberEpoch {
-		s.lastMemberEpoch = req.MemberEpoch
-		s.plans = nil // membership moved: every memoized assignment is suspect
-	}
+	s.plans.observeEpoch(req.MemberEpoch)
 	return true
 }
 
@@ -655,7 +705,7 @@ func (s *Server) planArray(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJo
 func (s *Server) planFor(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJob, []subchunkJob, int64) {
 	key, cacheable := s.planKeyFor(ai, spec, dead)
 	if cacheable {
-		if e, ok := s.plans[key]; ok {
+		if e, ok := s.plans.get(key); ok {
 			atomic.AddInt64(&s.stats.PlanHits, 1)
 			s.met.planHits.Add(1)
 			return e.jobs, e.subs, e.bytes
@@ -670,13 +720,7 @@ func (s *Server) planFor(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJob,
 	if cacheable {
 		atomic.AddInt64(&s.stats.PlanMisses, 1)
 		s.met.planMisses.Add(1)
-		if len(s.plans) >= s.cfg.planCacheSize() {
-			s.plans = nil // cheap bound: restart rather than evict
-		}
-		if s.plans == nil {
-			s.plans = make(map[planKey]planEntry)
-		}
-		s.plans[key] = planEntry{jobs: jobs, subs: subs, bytes: planned}
+		s.plans.put(key, planEntry{jobs: jobs, subs: subs, bytes: planned}, s.cfg.planCacheSize())
 	}
 	return jobs, subs, planned
 }
@@ -794,10 +838,11 @@ type pending struct {
 }
 
 // writeArray gathers this server's sub-chunks of one array from the
-// clients and writes them with strictly sequential file writes. Up to
-// cfg.Pipeline sub-chunks are kept in flight; completed sub-chunks are
-// written in plan order so the file access pattern stays sequential
-// regardless of reply interleaving.
+// clients and writes them through the storage stage. Up to cfg.Pipeline
+// sub-chunks are kept in flight on the network, and up to cfg.Pipeline
+// writes on the disk; completed sub-chunks are handed over in plan
+// order so the file access pattern stays sequential regardless of reply
+// interleaving.
 //
 // With a deadline, pulls are retried: if no reply arrives for a quiet
 // period (OpTimeout spread evenly over PullRetries+1 attempts), every
@@ -810,7 +855,7 @@ func (s *Server) writeArray(spec ArraySpec, name string, subs []subchunkJob, dea
 	if len(subs) == 0 {
 		return nil // this server owns no data of this array
 	}
-	sink, err := s.newWriteSink(name)
+	sink, err := s.openWriteStream(name)
 	if err != nil {
 		return err
 	}
@@ -828,7 +873,7 @@ func (s *Server) writeArray(spec ArraySpec, name string, subs []subchunkJob, dea
 // sub-chunk pulls in flight and retires completed sub-chunks to the
 // sink strictly in plan order. mb, when non-nil, collects each retired
 // sub-chunk's extent and CRC32C for the epoch manifest.
-func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time.Duration, sink writeSink, mb *manifestBuilder) error {
+func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time.Duration, sink *stream, mb *manifestBuilder) error {
 	window := s.cfg.pipeline()
 	inflight := make(map[uint32]*pending, window)
 	// In-flight request IDs in plan order, a fixed ring so a long
@@ -1046,16 +1091,18 @@ func (s *Server) chargeReorg(n int64) {
 	}
 }
 
-// readArray reads this server's sub-chunks of one array sequentially
-// and scatters each piece to the client that needs it. deadline (0 =
-// none) bounds the operation: between sub-chunks the server checks its
-// budget and drains any abort broadcast, so a read cannot grind on
-// after the master has declared the operation dead.
+// readArray reads this server's sub-chunks of one array in plan order
+// through the storage stage, keeping cfg.ReadAhead reads in flight
+// beyond the one being waited for, and scatters each piece to the
+// client that needs it. deadline (0 = none) bounds the operation:
+// between sub-chunks the server checks its budget and drains any abort
+// broadcast, so a read cannot grind on after the master has declared
+// the operation dead.
 func (s *Server) readArray(spec ArraySpec, name string, subs []subchunkJob, deadline time.Duration, want int64) error {
 	if len(subs) == 0 {
 		return nil
 	}
-	src, err := s.newReadSource(spec, name, subs, want)
+	src, err := s.openReadStream(name, subs, want)
 	if err != nil {
 		return err
 	}
@@ -1070,9 +1117,9 @@ func (s *Server) readArray(spec ArraySpec, name string, subs []subchunkJob, dead
 }
 
 // scatterSubchunks is the read mover: it takes sub-chunks from the
-// source in plan order and scatters each piece to the client that
+// stream in plan order and scatters each piece to the client that
 // needs it.
-func (s *Server) scatterSubchunks(spec ArraySpec, subs []subchunkJob, deadline time.Duration, src readSource) error {
+func (s *Server) scatterSubchunks(spec ArraySpec, subs []subchunkJob, deadline time.Duration, src *stream) error {
 	measured := s.tr.Enabled() || s.met.subLatency != nil
 	for _, sj := range subs {
 		if err := s.checkReadInterrupt(deadline); err != nil {
@@ -1082,7 +1129,7 @@ func (s *Server) scatterSubchunks(spec ArraySpec, subs []subchunkJob, deadline t
 		if measured {
 			t0 = s.clk.Now()
 		}
-		buf, err := src.next(sj)
+		buf, err := src.next()
 		if err != nil {
 			return err
 		}

@@ -156,10 +156,10 @@ type Options struct {
 	// value).
 	SubchunkBytes int64
 	// Pipeline overrides the write pipeline depth (0 = 1, the paper's
-	// blocking behaviour; 2+ engages the staged write-behind engine).
+	// blocking behaviour; 2+ writes behind the network).
 	Pipeline int
 	// ReadAhead sets the read prefetch depth (0 = the paper's serial
-	// reads; 1+ engages the staged read-ahead engine).
+	// reads; 1+ reads ahead of the scatter).
 	ReadAhead int
 	// Verbose makes Run print each point as it completes.
 	Verbose bool

@@ -63,17 +63,22 @@ type SchedResult struct {
 }
 
 // schedConfigFor assembles the bench deployment: fig4's nodes and cost
-// model plus the scheduler.
+// model plus the scheduler. An unset pipeline runs pandad's default
+// write window of 2, so the bench measures what the daemon runs.
 func schedConfigFor(ion, inflight int, opt Options) core.Config {
 	weights := make(map[string]int, len(schedTenants))
 	for _, t := range schedTenants {
 		weights[t.Name] = t.Weight
 	}
+	pipeline := opt.Pipeline
+	if pipeline == 0 {
+		pipeline = 2
+	}
 	return core.Config{
 		NumClients:      8,
 		NumServers:      ion,
 		SubchunkBytes:   opt.SubchunkBytes,
-		Pipeline:        opt.Pipeline,
+		Pipeline:        pipeline,
 		ReadAhead:       opt.ReadAhead,
 		StartupOverhead: StartupOverhead,
 		CopyRate:        CopyRate,

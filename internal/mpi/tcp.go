@@ -3,10 +3,12 @@ package mpi
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"panda/internal/bufpool"
@@ -381,9 +383,13 @@ func (h *Hub) route(source int, conn net.Conn) error {
 	r := bufio.NewReaderSize(conn, 256<<10)
 	var hdr [16]byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil // orderly disconnect
+		if n, err := io.ReadFull(r, hdr[:]); err != nil {
+			// A rank that closes its socket with unread death frames still
+			// queued makes the kernel reset the connection instead of
+			// sending FIN. Between frames that is the same orderly
+			// disconnect as EOF; a reset inside a frame stays an error.
+			if err == io.EOF || (n == 0 && errors.Is(err, syscall.ECONNRESET)) {
+				return nil
 			}
 			return fmt.Errorf("mpi: hub route from %d: %w", source, err)
 		}
@@ -460,8 +466,8 @@ func DialComm(addr string, rank, size int) (Comm, error) {
 }
 
 // CloseComm tears down a TCP endpoint created by DialComm. Pending
-// receives fail by panicking on connection loss, so close only after
-// all communication is complete.
+// receives fail by panicking on connection loss and later sends are
+// dropped, so close only after all communication is complete.
 func CloseComm(c Comm) error {
 	tc, ok := c.(*tcpComm)
 	if !ok {
@@ -540,13 +546,27 @@ func (c *tcpComm) Send(to, tag int, data []byte) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if _, err := c.conn.Write(hdr[:]); err != nil {
-		panic(fmt.Sprintf("mpi: tcp send: %v", err))
+		sendFailed(err)
+		return
 	}
 	if len(data) > 0 {
 		if _, err := c.conn.Write(data); err != nil {
-			panic(fmt.Sprintf("mpi: tcp send: %v", err))
+			sendFailed(err)
 		}
 	}
+}
+
+// sendFailed reports a failed write. A write on an endpoint its owner
+// already closed with CloseComm is dropped: the rank left the world on
+// purpose, its receives already fail with the close, and a goroutine
+// still finishing its last operation must not crash the process. Any
+// other write failure is a transport failure and panics, Comm having
+// no error return.
+func sendFailed(err error) {
+	if errors.Is(err, net.ErrClosed) {
+		return
+	}
+	panic(fmt.Sprintf("mpi: tcp send: %v", err))
 }
 
 func (c *tcpComm) SendOwned(to, tag int, data []byte) { c.Send(to, tag, data) }
@@ -567,7 +587,7 @@ func (c *tcpComm) SendVec(to, tag int, hdr, payload []byte) bool {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if _, err := bufs.WriteTo(c.conn); err != nil {
-		panic(fmt.Sprintf("mpi: tcp send: %v", err))
+		sendFailed(err)
 	}
 	return true
 }

@@ -162,6 +162,11 @@ func (s *Session) rpc(req ctlRequest) (ctlReply, error) {
 	if s.closed {
 		return ctlReply{}, fmt.Errorf("panda: session closed")
 	}
+	return s.call(req)
+}
+
+// call runs one control exchange; the caller holds s.mu.
+func (s *Session) call(req ctlRequest) (ctlReply, error) {
 	if err := s.enc.Encode(req); err != nil {
 		return ctlReply{}, fmt.Errorf("panda: session control: %w", err)
 	}
@@ -245,7 +250,9 @@ func (s *Session) Info() (ServiceInfo, error) {
 	return info, nil
 }
 
-// dialMembers joins the session's nodes to the daemon's rank mesh.
+// dialMembers joins the session's nodes to the daemon's rank mesh and
+// waits until the daemon sees every member registered, so no frame of
+// the first operation is routed before its addressee can receive it.
 // Called once, lazily, under s.mu.
 func (s *Session) dialMembers() error {
 	clk := clock.NewReal()
@@ -266,7 +273,8 @@ func (s *Session) dialMembers() error {
 			node: &Node{cl: cl, data: make(map[*Array][]byte), steps: make(map[*Group]int)},
 		})
 	}
-	return nil
+	_, err := s.call(ctlRequest{Cmd: "mesh"})
+	return err
 }
 
 // Run executes app once on every node of the session, exactly like
@@ -319,7 +327,6 @@ func (s *Session) Close() error {
 	s.closed = true
 	members := s.members
 	s.members = nil
-	enc := s.enc
 	s.mu.Unlock()
 
 	for _, m := range members {
@@ -328,8 +335,11 @@ func (s *Session) Close() error {
 	for _, m := range members {
 		mpi.CloseComm(m.comm) //nolint:errcheck
 	}
-	// Best-effort explicit detach; closing the control connection
+	// Best-effort explicit detach, waiting for the reply so the slots
+	// are free again when Close returns; closing the control connection
 	// detaches implicitly anyway.
-	_ = enc.Encode(ctlRequest{Cmd: "detach"})
+	s.mu.Lock()
+	_, _ = s.call(ctlRequest{Cmd: "detach"})
+	s.mu.Unlock()
 	return s.ctrl.Close()
 }
